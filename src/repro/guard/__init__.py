@@ -37,6 +37,7 @@ from repro.guard.budget import (
     GuardContext,
     GuardEvent,
     ManualClock,
+    TickingClock,
     active,
     deadline_hit,
     guarding,
@@ -81,6 +82,7 @@ __all__ = [
     "GuardContext",
     "GuardEvent",
     "ManualClock",
+    "TickingClock",
     "active",
     "deadline_hit",
     "guarding",

@@ -10,8 +10,9 @@ of hanging or raising.
 
 Budgets are clock-agnostic: the default clock is ``time.monotonic``
 (host wall time), the serving layer installs budgets over the simulated
-device clock, and tests use :class:`ManualClock` for deterministic
-deadline hits.  A :class:`GuardContext` bundles budgets with watchdog
+device clock, and tests use :class:`ManualClock` (hand-advanced) or
+:class:`TickingClock` (one step per poll) for deterministic deadline
+hits.  A :class:`GuardContext` bundles budgets with watchdog
 and sanitizer configuration and is installed with :func:`guarding`,
 mirroring the ``repro.faults`` active-injector pattern.  Nested
 contexts inherit the parent's budgets, so an outer serve deadline still
@@ -42,6 +43,23 @@ class ManualClock:
         self.now += dt
 
     def __call__(self) -> float:
+        return self.now
+
+
+class TickingClock:
+    """A clock that advances ``step`` per read.
+
+    Every deadline poll reads the clock once, so a budget of ``k`` on
+    this clock expires after a fixed number of polls — a deterministic
+    mid-search stop, independent of host speed.
+    """
+
+    def __init__(self, step: float = 1.0):
+        self.now = 0.0
+        self.step = step
+
+    def __call__(self) -> float:
+        self.now += self.step
         return self.now
 
 

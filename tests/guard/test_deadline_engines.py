@@ -11,7 +11,13 @@ certified dual bound at the stop — can be asserted deterministically.
 import numpy as np
 import pytest
 
-from repro.guard.budget import DeadlineBudget, GuardContext, ManualClock, guarding
+from repro.guard.budget import (
+    DeadlineBudget,
+    GuardContext,
+    ManualClock,
+    TickingClock,
+    guarding,
+)
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.interior_point import interior_point_solve
 from repro.lp.pdhg import solve_lp_pdhg
@@ -23,19 +29,6 @@ from repro.mip.batch_solver import BatchedNodeSolver, BatchedSolverOptions
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
-
-
-class TickingClock:
-    """A clock that advances one step per read — deterministic expiry
-    after a fixed number of guard polls, independent of host speed."""
-
-    def __init__(self, step: float = 1.0):
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        self.now += self.step
-        return self.now
 
 
 def expired_guard():

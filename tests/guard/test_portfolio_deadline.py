@@ -12,21 +12,15 @@ import numpy as np
 import pytest
 
 from repro.api import SolveMode, SolveOptions, solve
-from repro.guard.budget import DeadlineBudget, GuardContext, ManualClock, guarding
+from repro.guard.budget import (
+    DeadlineBudget,
+    GuardContext,
+    ManualClock,
+    TickingClock,
+    guarding,
+)
 from repro.mip.portfolio import PortfolioOptions, run_portfolio
 from repro.problems.knapsack import generate_knapsack
-
-
-class TickingClock:
-    """Advances one step per read: expiry after a fixed poll count."""
-
-    def __init__(self, step: float = 1.0):
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        self.now += self.step
-        return self.now
 
 
 def ticking_guard(seconds: float) -> GuardContext:

@@ -9,26 +9,19 @@ bound that dominates the true optimum — exactly as the cold path does.
 
 import numpy as np
 
-from repro.guard.budget import DeadlineBudget, GuardContext, ManualClock, guarding
+from repro.guard.budget import (
+    DeadlineBudget,
+    GuardContext,
+    ManualClock,
+    TickingClock,
+    guarding,
+)
 from repro.lp.result import LPStatus
 from repro.lp.simplex import solve_lp
 from repro.lp.warm import state_from_result, warm_resolve
 from repro.mip.result import MIPStatus
 from repro.mip.solver import BranchAndBoundSolver, SolverOptions
 from repro.problems.knapsack import generate_knapsack, knapsack_dp_optimal
-
-
-class TickingClock:
-    """One step per read: deterministic expiry after a fixed number of
-    guard polls, independent of host speed."""
-
-    def __init__(self, step: float = 1.0):
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        self.now += self.step
-        return self.now
 
 
 def midway_guard(polls: int) -> GuardContext:
