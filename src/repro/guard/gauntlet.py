@@ -15,13 +15,14 @@ enforced is the guard layer's core promise:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro import obs
 from repro.errors import GuardError, ReproError, SanitizeError
-from repro.guard.budget import DeadlineBudget, GuardContext, guarding
+from repro.guard.budget import DeadlineBudget, GuardContext, TickingClock, guarding
 from repro.guard.sanitize import SanitizePolicy, sanitize_problem
 from repro.problems.pathological import PathologicalCase, pathological_corpus
 
@@ -93,10 +94,14 @@ def _run_case(case: PathologicalCase, deadline: float) -> GauntletRun:
             run.ok = case.expect == "infeasible"
             return run
 
-        budget = case.deadline if case.deadline is not None else deadline
-        ctx = GuardContext(
-            budgets=[DeadlineBudget(budget, label="gauntlet")]
-        )
+        if case.expect == "anytime":
+            # A poll-counting clock: the stop point is the same on any host.
+            budget = DeadlineBudget(
+                float(case.polls), clock=TickingClock(), label="gauntlet"
+            )
+        else:
+            budget = DeadlineBudget(deadline, label="gauntlet")
+        ctx = GuardContext(budgets=[budget])
         with guarding(ctx):
             report = solve(san.problem, SolveOptions())
         run.outcome = report.status
@@ -112,17 +117,11 @@ def _run_case(case: PathologicalCase, deadline: float) -> GauntletRun:
             run.ok = report.status == "infeasible"
         elif case.expect == "anytime":
             if report.status in _ANYTIME:
-                import math
-
                 run.ok = math.isfinite(report.best_bound)
                 if not run.ok:
                     run.detail = "anytime stop without a finite dual bound"
-            elif report.status == "optimal":
-                # Finished inside the budget — still a structured answer.
-                run.ok = True
-                run.detail = "finished within budget"
             else:
-                run.detail = f"unexpected status {report.status!r}"
+                run.detail = f"expected an anytime stop, got {report.status!r}"
         else:
             run.detail = f"case declares unknown expectation {case.expect!r}"
     except GuardError as exc:
@@ -147,9 +146,10 @@ def run_gauntlet(
 ) -> GauntletReport:
     """Run the corpus (or ``cases``) and report per-case verdicts.
 
-    ``deadline`` is the per-case host-seconds budget used when a case
-    doesn't pin its own; it is the anti-hang backstop, so every solve
-    in the gauntlet runs under *some* budget.
+    ``deadline`` is the per-case host-seconds budget; it is the
+    anti-hang backstop, so every solve in the gauntlet runs under
+    *some* budget.  ``anytime`` cases run on their own guard-poll
+    budget instead, so their stop is deterministic.
     """
     report = GauntletReport()
     for case in cases if cases is not None else pathological_corpus():

@@ -9,16 +9,20 @@
   GPU-locality-aware ordering (§5.3).
 - :mod:`repro.mip.cuts` — Gomory mixed-integer and knapsack cover cuts
   with a cut pool (§5.2).
-- :mod:`repro.mip.heuristics` — rounding and diving primal heuristics.
-- :mod:`repro.mip.solver` — the branch-and-cut driver, parameterized by
-  an execution engine so the paper's strategies can meter every LP
-  solve, transfer and kernel.
+- :mod:`repro.mip.portfolio` — the batched primal-heuristic portfolio
+  (rounding, diving, feasibility jump, fix-and-propagate, LNS).
+- :mod:`repro.mip.solver` — the one branch-and-cut driver, parameterized
+  by an execution engine so the paper's strategies can meter every LP
+  solve, transfer and kernel; each search round pops the engine's
+  ``round_width`` open nodes (1 for the serial strategies).
 - :mod:`repro.mip.ivm` — the Integer-Vector-Matrix tree representation
   of Gmys et al. for permutation problems (§2.3).
 - :mod:`repro.mip.probing` — root probing / implication tables (§3.3).
 - :mod:`repro.mip.colgen` — Gilmore–Gomory column generation (§3.3).
 - :mod:`repro.mip.checkpoint` — JSON snapshot persistence (§2.3, UG).
-- :mod:`repro.mip.batch_solver` — batched-node B&B (§5.5 end-to-end).
+- :mod:`repro.mip.batch_solver` — batched-node B&B (§5.5 end-to-end):
+  the same driver at round width ``batch_size``, with a round evaluator
+  that solves each round's node LPs as one lockstep device batch.
 """
 
 from repro.mip.problem import MIPProblem

@@ -1,11 +1,13 @@
 """Batched-node branch-and-bound: §5.5 applied to the search itself.
 
 "For relatively small MIP problem sizes … it is conceivable (and
-potentially more efficient) to solve multiple nodes at a time" — this
-driver does exactly that: it pops up to ``batch_size`` open nodes per
-round, solves all their LP relaxations together, and charges the device
-one *batched* kernel sequence per round (the MAGMA-style batch routine
-of §4.3) instead of one small kernel stream per node.
+potentially more efficient) to solve multiple nodes at a time" — the
+search here is the ordinary :class:`~repro.mip.solver.BranchAndBoundSolver`
+loop at round width ``batch_size``: each round pops up to that many open
+nodes, and :class:`BatchedRoundEngine` solves all their LP relaxations
+together, charging the device one *batched* kernel sequence per round
+(the MAGMA-style batch routine of §4.3) instead of one small kernel
+stream per node.
 
 Numerics stay exact (each node's LP is solved precisely); only the cost
 model reflects the batching.  Search results match the serial solver's
@@ -24,30 +26,25 @@ through the exact simplex path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-import numpy as np
-
-from repro.config import DEFAULT_CONFIG
 from repro.device import kernels as K
 from repro.device.gpu import Device
 from repro.device.spec import V100, DeviceSpec
 from repro.errors import ReproError
-from repro.guard import budget as guard_budget
 from repro.lp.pdhg import PDHGOptions
 from repro.lp.pdhg_batch import batch_compatible, solve_lp_pdhg_batch_on_device
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.simplex import SimplexOptions, solve_standard_form
-from repro.lp.warm import (
-    WarmStartState,
-    WarmStateCache,
-    state_from_result,
-    warm_resolve,
-)
-from repro.mip.portfolio import PortfolioOptions, run_portfolio
+from repro.lp.simplex import SimplexOptions
+from repro.mip.portfolio import PortfolioOptions
 from repro.mip.problem import MIPProblem
-from repro.mip.result import MIPResult, MIPStats, MIPStatus
-from repro.mip.tree import BBTree, BoundChange, NodeTag
+from repro.mip.result import MIPResult
+from repro.mip.solver import (
+    BranchAndBoundSolver,
+    ExecutionEngine,
+    RoundMember,
+    SolverOptions,
+)
 
 
 @dataclass
@@ -93,47 +90,29 @@ class BatchedSolverOptions:
             )
 
 
-@dataclass
-class _NodeOutcome:
-    """One node relaxation, normalized across LP engines.
+class BatchedRoundEngine(ExecutionEngine):
+    """Round evaluator: up to ``batch_size`` node LPs per device round."""
 
-    ``bound`` is what the search prunes with: the exact LP objective for
-    simplex nodes, the tolerance-padded :meth:`PDHGResult.upper_bound`
-    for first-order nodes (so an eps-low value can never cut off the
-    true optimum).  ``x`` is always in the original variable space.
-    """
-
-    status: LPStatus
-    bound: float
-    x: Optional[np.ndarray]
-    iterations: int
-    basis: Optional[np.ndarray] = None
-
-
-class BatchedNodeSolver:
-    """Branch-and-bound evaluating up to K node LPs per device round."""
-
-    def __init__(
-        self,
-        problem: MIPProblem,
-        options: Optional[BatchedSolverOptions] = None,
-        spec: DeviceSpec = V100,
-        device: Optional[Device] = None,
-    ):
-        self.problem = problem
-        self.options = options or BatchedSolverOptions()
-        # Callers (e.g. the serving layer's worker pool) may supply the
-        # device so several solves share one clock and metrics stream.
-        self.device = device if device is not None else Device(spec)
-        self.stats = MIPStats()
+    def __init__(self, device: Device, options: BatchedSolverOptions):
+        # node_lp stays "simplex": members the round leaves to exact
+        # solves take the inherited warm/cold path.
+        super().__init__(options.simplex, pdhg_options=options.pdhg)
+        self.device = device
+        self.round_width = options.batch_size
+        self.lp_engine = options.lp_engine
+        #: Device rounds launched (one per search round with live nodes).
         self.rounds = 0
-        #: Result of the pre-search portfolio phase (None = not run).
-        self.portfolio_result = None
-        self._tol = DEFAULT_CONFIG.tolerances
-        #: Bounded per-node warm states (basis + resident factorization).
-        self._warm_states = WarmStateCache(capacity=64)
 
-    # -- device accounting ------------------------------------------------------
+    def begin_search(self, problem: MIPProblem, sf_root) -> None:
+        if self.device.spec.is_accelerator:
+            self.device.upload(sf_root.a)  # resident matrix, once
+
+    def end_search(self) -> None:
+        self.device.synchronize()
+
+    @property
+    def elapsed_seconds(self) -> float:
+        return self.device.clock.now
 
     def _charge_round(self, k: int, m: int, n: int, iterations: int) -> None:
         """One batched kernel sequence for k node LPs in lockstep."""
@@ -143,196 +122,19 @@ class BatchedNodeSolver:
             self.device._charge(K.batched_trsv_kernel(k, m), None)
             self.device._charge(K.batched_gemm_kernel(k, 1, n, m), None)
 
-    # -- search -------------------------------------------------------------------
+    def solve_round(self, members: List[RoundMember]) -> None:
+        self.rounds += 1
+        if self.lp_engine == "pdhg":
+            members = self._solve_round_pdhg(members)
+        if members:
+            # Exact per-member solves, charged as one lockstep round.
+            super().solve_round(members)
+            sf = members[-1].sf
+            iterations = max(member.result.iterations for member in members)
+            self._charge_round(len(members), sf.m, sf.n, iterations)
 
-    def solve(self) -> MIPResult:
-        """Run the batched search to completion or the node limit."""
-        problem = self.problem
-        options = self.options
-        tree = BBTree(problem.relaxation())
-        sf_root = tree.node_problem(0).to_standard_form()
-        if self.device.spec.is_accelerator:
-            self.device.upload(sf_root.a)  # resident matrix, once
-
-        incumbent_obj = -np.inf
-        incumbent_x: Optional[np.ndarray] = None
-
-        def note_first_incumbent() -> None:
-            if self.stats.first_incumbent_nodes < 0:
-                self.stats.first_incumbent_nodes = self.stats.nodes_processed
-                self.stats.first_incumbent_seconds = self.device.clock.now
-
-        # Portfolio phase: batched primal heuristics on the same device
-        # seed the incumbent before the first frontier round.
-        if options.portfolio is not None:
-            pr = run_portfolio(problem, options.portfolio, device=self.device)
-            self.portfolio_result = pr
-            self.stats.portfolio_restarts = pr.stats.get("restarts", 0)
-            self.stats.portfolio_sweeps = pr.stats.get("fj_sweeps", 0)
-            self.stats.portfolio_incumbents = len(pr.incumbents)
-            self.stats.portfolio_seconds = pr.elapsed_seconds
-            self.stats.lp_iterations += pr.lp_iterations
-            if pr.best is not None:
-                incumbent_obj, incumbent_x = pr.best.objective, pr.best.x.copy()
-                self.stats.heuristic_solutions += 1
-                note_first_incumbent()
-                self.stats.incumbent_history.append((0, incumbent_obj))
-
-        # Open pool: (neg bound, node_id) sorted per round (best-first).
-        pool: List[Tuple[float, int]] = [(-np.inf, 0)]
-
-        guard_ctx = guard_budget.active()
-        stopped: Optional[MIPStatus] = None
-        while pool and self.stats.nodes_processed < options.node_limit:
-            if guard_ctx is not None and guard_ctx.deadline_hit():
-                stopped = MIPStatus.TIME_LIMIT
-                break
-            pool.sort(key=lambda t: t[0])
-            take = min(options.batch_size, len(pool))
-            batch, pool = pool[:take], pool[take:]
-
-            # Pre-prune against the current incumbent.
-            live: List[int] = []
-            for neg_bound, node_id in batch:
-                node = tree.node(node_id)
-                if self._dominated(-neg_bound, incumbent_obj):
-                    node.tag = NodeTag.PRUNED
-                    node.lp_bound = -neg_bound
-                else:
-                    live.append(node_id)
-            if not live:
-                continue
-
-            outcomes = self._solve_round(live, tree)
-            self.rounds += 1
-
-            for node_id, out in zip(live, outcomes):
-                node = tree.node(node_id)
-                self.stats.nodes_processed += 1
-                self.stats.lp_iterations += out.iterations
-                if out.status is LPStatus.INFEASIBLE:
-                    node.tag = NodeTag.INFEASIBLE
-                    continue
-                if out.status in (
-                    LPStatus.TIME_LIMIT,
-                    LPStatus.ITERATION_LIMIT,
-                    LPStatus.NUMERICAL,
-                ):
-                    # Unresolved node: requeue it (keeps the final dual
-                    # bound sound) and stop with an anytime status.
-                    pool.append((-node.inherited_bound, node_id))
-                    stopped = (
-                        MIPStatus.TIME_LIMIT
-                        if out.status is LPStatus.TIME_LIMIT
-                        else MIPStatus.ITERATION_LIMIT
-                    )
-                    continue
-                if out.status is not LPStatus.OPTIMAL:
-                    node.tag = NodeTag.PRUNED  # conservative close-out
-                    continue
-                node.lp_bound = out.bound
-                node.warm_basis = out.basis
-                if self._dominated(out.bound, incumbent_obj):
-                    node.tag = NodeTag.PRUNED
-                    continue
-                x = out.x
-                fractional = problem.fractional_integers(x)
-                if fractional.size == 0:
-                    node.tag = NodeTag.FEASIBLE
-                    obj = problem.objective(x)
-                    if obj > incumbent_obj:
-                        incumbent_obj, incumbent_x = obj, x
-                        note_first_incumbent()
-                        self.stats.incumbent_history.append(
-                            (self.stats.nodes_processed, obj)
-                        )
-                    continue
-                # Branch most-fractional.
-                frac_vals = x[fractional] - np.floor(x[fractional])
-                var = int(fractional[np.argmin(np.abs(frac_vals - 0.5))])
-                value = float(x[var])
-                node.tag = NodeTag.BRANCHED
-                node.branch_var = var
-                down = tree.add_child(
-                    node_id,
-                    BoundChange(var=var, kind="ub", value=float(np.floor(value)), parent_value=value),
-                )
-                up = tree.add_child(
-                    node_id,
-                    BoundChange(var=var, kind="lb", value=float(np.ceil(value)), parent_value=value),
-                )
-                for child in (down, up):
-                    child.inherited_bound = node.lp_bound
-                    pool.append((-node.lp_bound, child.node_id))
-            if stopped is not None:
-                break
-
-        self.device.synchronize()
-
-        open_bounds = [-b for b, _ in pool]
-        if stopped is not None and pool:
-            status = stopped
-            best_bound = max([incumbent_obj] + open_bounds)
-        elif pool and self.stats.nodes_processed >= options.node_limit:
-            status = MIPStatus.NODE_LIMIT
-            best_bound = max([incumbent_obj] + open_bounds)
-        elif incumbent_x is None:
-            status = MIPStatus.INFEASIBLE
-            best_bound = -np.inf
-        else:
-            status = MIPStatus.OPTIMAL
-            best_bound = incumbent_obj
-        return MIPResult(
-            status=status,
-            objective=incumbent_obj if incumbent_x is not None else np.nan,
-            x=incumbent_x,
-            best_bound=best_bound,
-            stats=self.stats,
-        )
-
-    # -- helpers ---------------------------------------------------------------------
-
-    def _solve_round(self, live: List[int], tree: BBTree) -> List[_NodeOutcome]:
-        """Solve one round of live nodes with the configured LP engine."""
-        if self.options.lp_engine == "pdhg":
-            outcomes = self._solve_round_pdhg(live, tree)
-            if outcomes is not None:
-                return outcomes
-        return self._solve_round_simplex(live, tree)
-
-    def _solve_round_simplex(
-        self, live: List[int], tree: BBTree
-    ) -> List[_NodeOutcome]:
-        outcomes: List[_NodeOutcome] = []
-        max_iters = 0
-        m = n = 0
-        for node_id in live:
-            node = tree.node(node_id)
-            sf = tree.node_problem(node_id).to_standard_form()
-            m, n = sf.m, sf.n
-            res = self._solve_node(sf, tree, node)
-            max_iters = max(max_iters, res.iterations)
-            x = (
-                sf.recover_x(res.x_standard)
-                if res.status is LPStatus.OPTIMAL
-                else None
-            )
-            outcomes.append(
-                _NodeOutcome(
-                    status=res.status,
-                    bound=res.objective,
-                    x=x,
-                    iterations=res.iterations,
-                    basis=res.basis,
-                )
-            )
-        self._charge_round(len(live), m, n, max_iters)
-        return outcomes
-
-    def _solve_round_pdhg(
-        self, live: List[int], tree: BBTree
-    ) -> Optional[List[_NodeOutcome]]:
-        """One lockstep batched-PDHG round; None defers to simplex.
+    def _solve_round_pdhg(self, members: List[RoundMember]) -> List[RoundMember]:
+        """One lockstep batched-PDHG round; returns the members left for simplex.
 
         Sibling node LPs differ only in variable bounds, so the batch is
         (in practice always) shape-compatible and shares K — the whole
@@ -340,103 +142,62 @@ class BatchedNodeSolver:
         anywhere short of eps-KKT OPTIMAL re-solve through the exact
         simplex path, keeping every status vertex-grade.
         """
-        lps = [tree.node_problem(node_id) for node_id in live]
+        lps = [member.node_lp for member in members]
         if not batch_compatible(lps):
-            return None
-        batch = solve_lp_pdhg_batch_on_device(
-            lps, self.device, options=self.options.pdhg
-        )
+            return members
+        batch = solve_lp_pdhg_batch_on_device(lps, self.device, options=self.pdhg_options)
         self.device.metrics.inc("pdhg.batch_rounds")
-        outcomes: List[Optional[_NodeOutcome]] = []
-        fallback: List[int] = []
-        for i, status in enumerate(batch.statuses):
-            if status is LPStatus.OPTIMAL:
-                self.device.metrics.inc("pdhg.node_solves")
-                outcomes.append(
-                    _NodeOutcome(
-                        status=LPStatus.OPTIMAL,
-                        bound=float(batch.bounds[i]),
-                        # Box feasibility is only eps-accurate; clamp so
-                        # branching on x can't step outside node bounds.
-                        x=np.clip(batch.x[i], lps[i].lb, lps[i].ub),
-                        iterations=int(batch.member_iterations[i]),
-                    )
-                )
-            else:
-                outcomes.append(None)
-                fallback.append(i)
+        fallback: List[RoundMember] = []
+        for i, member in enumerate(members):
+            if batch.statuses[i] is not LPStatus.OPTIMAL:
+                fallback.append(member)
+                continue
+            self.device.metrics.inc("pdhg.node_solves")
+            member.result = LPResult(
+                status=LPStatus.OPTIMAL,
+                objective=float(batch.bounds[i]),
+                x=batch.x[i],
+                iterations=int(batch.member_iterations[i]),
+            )
         if fallback:
             self.device.metrics.inc("pdhg.fallbacks", len(fallback))
-            max_iters = 0
-            m = n = 0
-            for i in fallback:
-                node = tree.node(live[i])
-                sf = lps[i].to_standard_form()
-                m, n = sf.m, sf.n
-                res = self._solve_node(sf, tree, node)
-                max_iters = max(max_iters, res.iterations)
-                x = (
-                    sf.recover_x(res.x_standard)
-                    if res.status is LPStatus.OPTIMAL
-                    else None
-                )
-                outcomes[i] = _NodeOutcome(
-                    status=res.status,
-                    bound=res.objective,
-                    x=x,
-                    iterations=res.iterations,
-                    basis=res.basis,
-                )
-            self._charge_round(len(fallback), m, n, max_iters)
-        return outcomes
+        return fallback
 
-    def _solve_node(self, sf, tree: BBTree, node) -> LPResult:
-        warm: Optional[WarmStartState] = None
-        if self.options.warm_start and node.parent_id is not None:
-            warm = self._warm_states.get(node.parent_id)
-            if warm is None:
-                basis = tree.node(node.parent_id).warm_basis
-                if basis is not None:
-                    warm = WarmStartState(
-                        basis=np.asarray(basis, dtype=np.int64),
-                        shape=(sf.m, sf.n),
-                        pfi=None,
-                    )
-        if warm is not None:
-            attempt = warm_resolve(sf, warm, options=self.options.simplex)
-            if attempt is not None:
-                if attempt.audit_failed:
-                    self.stats.warm_audit_failures += 1
-                else:
-                    self.stats.warm_starts += 1
-                    self.stats.warm_pivots += attempt.result.iterations
-                    if attempt.reused_factors:
-                        self.stats.warm_factor_reuses += 1
-                    if attempt.state is not None:
-                        self._warm_states.put(node.node_id, attempt.state)
-                    return attempt.result
-        self.stats.cold_starts += 1
-        res = solve_standard_form(sf, options=self.options.simplex)
-        self.stats.cold_pivots += res.iterations
-        if res.status in (LPStatus.ITERATION_LIMIT, LPStatus.NUMERICAL):
-            from repro.guard.escalate import escalate_lp
 
-            outcome = escalate_lp(
-                sf, options=self.options.simplex, first=res, seed=node.node_id
-            )
-            if outcome.escalated:
-                self.stats.escalations += 1
-            res = outcome.result
-        if self.options.warm_start:
-            state = state_from_result(sf, res)
-            if state is not None:
-                self._warm_states.put(node.node_id, state)
-        return res
+class BatchedNodeSolver(BranchAndBoundSolver):
+    """Branch-and-bound evaluating up to K node LPs per device round."""
 
-    def _dominated(self, bound: float, incumbent: float) -> bool:
-        if not np.isfinite(bound):
-            return False
-        threshold = incumbent + max(
-            self._tol.mip_gap_abs, self.options.mip_gap * abs(incumbent)
+    def __init__(
+        self,
+        problem: MIPProblem,
+        options: Optional[BatchedSolverOptions] = None,
+        spec: DeviceSpec = V100,
+        device: Optional[Device] = None,
+    ):
+        options = options or BatchedSolverOptions()
+        # Callers (e.g. the serving layer's worker pool) may supply the
+        # device so several solves share one clock and metrics stream.
+        self.device = device if device is not None else Device(spec)
+        # The batched search's fixed rules: most-fractional branching,
+        # best-first selection, no rounding heuristic, no cuts.
+        search = SolverOptions(
+            branching="most_fractional",
+            use_rounding_heuristic=False,
+            node_limit=options.node_limit,
+            mip_gap=options.mip_gap,
+            simplex=options.simplex,
+            warm_start=options.warm_start,
+            portfolio=options.portfolio,
         )
-        return bound <= threshold
+        super().__init__(
+            problem, search, engine=BatchedRoundEngine(self.device, options)
+        )
+
+    @property
+    def rounds(self) -> int:
+        """Device rounds the search launched."""
+        return self.engine.rounds
+
+    def solve(self) -> MIPResult:
+        """Run the batched search to completion or the node limit."""
+        return self._solve()

@@ -2,8 +2,15 @@
 
 :class:`BranchAndBoundSolver` runs the search loop of paper §2.1 over the
 :class:`repro.mip.tree.BBTree`, with every linear-algebra-heavy step
-routed through an :class:`ExecutionEngine`:
+routed through an :class:`ExecutionEngine`.  Each iteration is a round:
+it pops up to the engine's ``round_width`` open nodes, pre-prunes them
+against the incumbent, and hands the live ones to the engine at once;
+it then acts on the outcomes in pop order.  The serial strategies use
+width 1; :mod:`repro.mip.batch_solver` evaluates wider rounds as one
+lockstep device batch (§5.5).
 
+- ``solve_round`` — the round's node LPs, by default one
+  ``solve_relaxation`` each;
 - ``solve_relaxation`` — the node LP (warm dual-simplex restart from the
   parent basis when possible, else cold two-phase primal);
 - ``resolve_after_cuts`` — re-optimization after appending cut rows;
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -36,7 +43,7 @@ from repro.faults.injector import active as fault_active
 from repro.guard import budget as guard_budget
 from repro.lp.dual_simplex import dual_simplex_resolve
 from repro.lp.pdhg import NULL_PDHG_HOOK, PDHGCostHook, PDHGOptions, solve_standard_form_pdhg
-from repro.lp.problem import StandardFormLP
+from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import NULL_HOOK, CostHook, SimplexOptions, solve_standard_form
 from repro.lp.warm import WarmStartState, WarmStateCache, state_from_result, warm_resolve
@@ -58,6 +65,28 @@ from repro.mip.tree import BBTree, BoundChange, NodeTag
 from repro import obs
 
 
+@dataclass
+class RoundMember:
+    """One live node of a search round, as handed to the engine.
+
+    The driver fills the inputs; :meth:`ExecutionEngine.solve_round`
+    fills ``result`` and the warm-start fields.
+    """
+
+    node_id: int
+    node_lp: LinearProgram
+    sf: StandardFormLP
+    #: Parent warm state or bare basis (None = cold).
+    warm: object = None
+    result: Optional[LPResult] = None
+    #: Warm telemetry (see ``ExecutionEngine.last_warm_info``); None for
+    #: a first-order member, which counts as neither warm nor cold.
+    warm_info: Optional[dict] = None
+    #: Post-solve warm state for the node's children (None = derive it
+    #: from the result).
+    warm_state: Optional[WarmStartState] = None
+
+
 class ExecutionEngine:
     """LP backend + cost metering for the branch-and-cut loop.
 
@@ -65,6 +94,10 @@ class ExecutionEngine:
     device-backed engines override the hooks to charge kernels and
     transfers.
     """
+
+    #: Open nodes the driver pops per round and hands to
+    #: :meth:`solve_round` together (1 = node-at-a-time search).
+    round_width = 1
 
     #: Bound on the first-order warm-iterate cache: one (x, y) pair per
     #: standard-form shape, LRU-evicted so deep trees with many shapes
@@ -114,6 +147,18 @@ class ExecutionEngine:
         """Called when the search loop exits."""
 
     # -- LP services ----------------------------------------------------------
+
+    def solve_round(self, members: List[RoundMember]) -> None:
+        """Solve one round of node relaxations, in pop order.
+
+        The default solves each member through :meth:`solve_relaxation`;
+        a batched evaluator overrides this to advance the whole round
+        together.
+        """
+        for member in members:
+            member.result = self.solve_relaxation(member.sf, warm_basis=member.warm)
+            member.warm_info = self.last_warm_info
+            member.warm_state = self.take_warm_state()
 
     def solve_relaxation(
         self,
@@ -418,11 +463,11 @@ class BranchAndBoundSolver:
 
         status = None
 
-        def process_node(node_id: int, node_span) -> Optional[str]:
-            """One node's lifecycle; returns "break" to stop the search."""
-            nonlocal incumbent_obj, incumbent_x, last_node, status
+        def prepare(node_id: int, span) -> Optional[RoundMember]:
+            """Pre-prune a popped node, or ready it for the round."""
+            nonlocal last_node
             node = tree.node(node_id)
-            node_span.set(depth=node.depth)
+            span.set(depth=node.depth)
 
             # Prune on the inherited (parent) bound without touching the LP.
             if self._dominated(node.inherited_bound, incumbent_obj):
@@ -439,27 +484,36 @@ class BranchAndBoundSolver:
             last_node = node_id
 
             node_lp = tree.node_problem(node_id)
-            sf = node_lp.to_standard_form()
             warm = None
             if options.warm_start and node.parent_id is not None:
                 warm = self._warm_states.get(node.parent_id)
                 if warm is None:
                     warm = tree.node(node.parent_id).warm_basis
-            res = self.engine.solve_relaxation(sf, warm_basis=warm)
+            return RoundMember(node_id, node_lp, node_lp.to_standard_form(), warm)
+
+        def finish(member: RoundMember, span) -> Optional[str]:
+            """Act on one solved member; returns "break" to stop the search."""
+            nonlocal incumbent_obj, incumbent_x, status
+            node_id, node_lp, sf, res = (
+                member.node_id, member.node_lp, member.sf, member.result
+            )
+            node = tree.node(node_id)
             self.stats.nodes_processed += 1
             self.stats.lp_iterations += res.iterations
             if options.log_every and self.stats.nodes_processed % options.log_every == 0:
                 self._log(options, incumbent_obj, node.inherited_bound, len(selector))
-            warm_info = getattr(self.engine, "last_warm_info", None) or {}
-            if warm is not None and warm_info.get("used"):
+            warm_info = member.warm_info
+            if warm_info is None:
+                pass  # a first-order round member: neither warm nor cold
+            elif member.warm is not None and warm_info["used"]:
                 self.stats.warm_starts += 1
                 self.stats.warm_pivots += res.iterations
-                if warm_info.get("reused_factors"):
+                if warm_info["reused_factors"]:
                     self.stats.warm_factor_reuses += 1
             else:
                 self.stats.cold_starts += 1
                 self.stats.cold_pivots += res.iterations
-                if warm_info.get("audit_failed"):
+                if warm_info["audit_failed"]:
                     self.stats.warm_audit_failures += 1
 
             if res.status is LPStatus.INFEASIBLE:
@@ -507,14 +561,10 @@ class BranchAndBoundSolver:
             node.lp_bound = res.objective
             node.warm_basis = res.basis
             if options.warm_start:
-                state = self.engine.take_warm_state() if hasattr(
-                    self.engine, "take_warm_state"
-                ) else None
-                if state is None:
-                    state = state_from_result(sf, res)
+                state = member.warm_state or state_from_result(sf, res)
                 if state is not None:
                     self._warm_states.put(node_id, state)
-            node_span.set(bound=res.objective)
+            span.set(bound=res.objective)
             self._record_pseudocost(branching, tree, node, res.objective)
 
             if self._dominated(res.objective, incumbent_obj):
@@ -524,7 +574,8 @@ class BranchAndBoundSolver:
             # First-order node solves are box-feasible only to eps; clamp
             # into the node's bounds so branching can never create a
             # child with ceil(value) above the variable's upper bound.
-            x = np.clip(sf.recover_x(res.x_standard), node_lp.lb, node_lp.ub)
+            x = res.x if res.x_standard is None else sf.recover_x(res.x_standard)
+            x = np.clip(x, node_lp.lb, node_lp.ub)
             fractional = problem.fractional_integers(x)
 
             # Cut rounds (branch-and-cut, §5.2) at shallow nodes.
@@ -598,16 +649,10 @@ class BranchAndBoundSolver:
         injector = fault_active()
         guard_ctx = guard_budget.active()
         last_checkpoint = -1
-        while selector and self.stats.nodes_processed < options.node_limit:
-            if guard_ctx is not None and guard_ctx.deadline_hit():
-                status = MIPStatus.TIME_LIMIT
-                break
-            node_id = selector.pop()
-            with obs.span("mip.node", category="mip", node=node_id) as node_span:
-                flow = process_node(node_id, node_span)
-                node_span.set(tag=tree.node(node_id).tag.value)
-            if flow == "break":
-                break
+
+        def after_node(node_id: int) -> None:
+            """Checkpoint, then draw the fault injector's node kill."""
+            nonlocal last_checkpoint
             if (
                 options.checkpoint_every
                 and options.checkpoint_fn is not None
@@ -624,6 +669,44 @@ class BranchAndBoundSolver:
             # always resume from a snapshot taken at or before k.
             if injector is not None and injector.node_kill():
                 raise SolverCrashError(node_id)
+
+        def run_round(popped: List[int], span) -> bool:
+            """Pre-prune, solve the live nodes together, act in pop order.
+
+            Returns True to stop the search.  A member that stops it
+            stays OPEN; the rest of its round is still acted on.
+            """
+            live: List[RoundMember] = []
+            for node_id in popped:
+                member = prepare(node_id, span)
+                if member is None:
+                    span.set(tag=tree.node(node_id).tag.value)
+                    after_node(node_id)
+                else:
+                    live.append(member)
+            if live:
+                self.engine.solve_round(live)
+            stop = False
+            for member in live:
+                flow = finish(member, span)
+                span.set(tag=tree.node(member.node_id).tag.value)
+                if flow == "break":
+                    stop = True
+                else:
+                    after_node(member.node_id)
+            return stop
+
+        width = self.engine.round_width
+        span_name = "mip.node" if width == 1 else "mip.round"
+        while selector and self.stats.nodes_processed < options.node_limit:
+            if guard_ctx is not None and guard_ctx.deadline_hit():
+                status = MIPStatus.TIME_LIMIT
+                break
+            popped = [selector.pop() for _ in range(min(width, len(selector)))]
+            with obs.span(span_name, category="mip", node=popped[0]) as span:
+                stop = run_round(popped, span)
+            if stop:
+                break
 
         self.engine.end_search()
 

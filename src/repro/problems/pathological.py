@@ -17,8 +17,8 @@ Each :class:`PathologicalCase` declares what the guard stack is
 - ``"infeasible"``— sanitation or the solve proves infeasibility;
 - ``"solve"``     — solves to optimality (possibly after watchdog
   intervention or engine escalation);
-- ``"anytime"``   — a budget stops it; the result must still be a
-  structured TIME_LIMIT/ITERATION_LIMIT answer with a dual bound.
+- ``"anytime"``   — a guard-poll budget stops it; the result must be a
+  structured TIME_LIMIT/ITERATION_LIMIT answer with a finite dual bound.
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ class PathologicalCase:
     #: What the guard stack should do with it (see module docstring).
     expect: str
     build: Callable[[], Problem] = None
-    #: Simulated/host deadline override for "anytime" cases (seconds).
-    deadline: Optional[float] = None
+    #: Guard-poll budget for "anytime" cases.  The gauntlet runs them on
+    #: a :class:`~repro.guard.budget.TickingClock`, so the stop lands at
+    #: the same point of the search on every host.
+    polls: Optional[int] = None
     notes: str = ""
 
 
@@ -229,8 +231,9 @@ def pathological_corpus() -> List[PathologicalCase]:
         PathologicalCase("near-singular", "solve", _near_singular),
         PathologicalCase("mip-wide-range", "solve", _mip_wide_range),
         PathologicalCase(
-            "mip-deadline", "anytime", _mip_deadline, deadline=0.25,
-            notes="well-posed but budgeted: must stop with a bound",
+            "mip-deadline", "anytime", _mip_deadline, polls=10,
+            notes="well-posed but budgeted: stops after the root LP "
+            "with a finite bound",
         ),
     ]
 

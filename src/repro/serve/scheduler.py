@@ -10,7 +10,8 @@ Two execution paths, chosen by the batch's compatibility class:
 - **lockstep** — same-shape inequality LPs run as one MAGMA-style
   batched kernel sequence via
   :func:`repro.lp.batch_simplex.solve_lp_batch_on_device`;
-- **concurrent** — MIPs (each itself a batched-node B&B via
+- **concurrent** — MIPs (each itself a batched-node B&B: the one
+  branch-and-bound driver at round width ``mip_node_batch``, via
   :class:`repro.mip.batch_solver.BatchedNodeSolver`) and non-lockstep
   LPs run as concurrent per-member kernel streams; the batch completes
   at ``max(span, total work / max_concurrent_kernels)``, the same

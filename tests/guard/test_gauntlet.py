@@ -32,6 +32,13 @@ class TestGauntlet:
         )
         assert len(report.runs) == len(pathological_corpus())
 
+    def test_anytime_case_stops_after_the_root_lp(self):
+        # A poll budget, not wall time: the root LP always finishes and
+        # the next node always hits the deadline.
+        (run,) = run_gauntlet(cases=[case_by_name("mip-deadline")]).runs
+        assert run.outcome == "time_limit"
+        assert run.ok, run.detail
+
     def test_no_uncaught_exceptions(self):
         report = run_gauntlet(deadline=30.0)
         escaped = [run for run in report.runs if run.detail.startswith("UNCAUGHT")]

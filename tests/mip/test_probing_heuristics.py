@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.mip.heuristics import (
-    diving_heuristic,
-    feasibility_pump,
-    rounding_heuristic,
+from repro.mip.portfolio import (
+    PortfolioOptions,
+    dive_fix,
+    round_to_feasible,
+    run_portfolio,
 )
 from repro.mip.probing import apply_probing, probe
 from repro.mip.problem import MIPProblem
@@ -89,7 +90,7 @@ class TestRounding:
     def test_feasible_rounding_returned(self):
         p = generate_knapsack(10, seed=0)
         res = solve_lp(p.relaxation())
-        candidate = rounding_heuristic(p, res.x)
+        candidate = round_to_feasible(p, res.x)
         if candidate is not None:
             assert p.is_feasible(candidate)
 
@@ -103,7 +104,7 @@ class TestRounding:
             b_eq=[1.0],  # no integer point satisfies 2x0+2x1 = 1
             ub=np.ones(2),
         )
-        assert rounding_heuristic(p, np.array([0.25, 0.25])) is None
+        assert round_to_feasible(p, np.array([0.25, 0.25])) is None
 
 
 class TestDiving:
@@ -111,7 +112,7 @@ class TestDiving:
         p = generate_knapsack(12, seed=3)
         relax = p.relaxation()
         res = solve_lp(relax)
-        point = diving_heuristic(p, relax, res.x)
+        point = dive_fix(p, relax, res.x)
         if point is not None:
             assert p.is_feasible(point)
 
@@ -119,10 +120,22 @@ class TestDiving:
         p = generate_knapsack(12, seed=4)
         relax = p.relaxation()
         res = solve_lp(relax)
-        point = diving_heuristic(p, relax, res.x, max_depth=0)
+        point = dive_fix(p, relax, res.x, max_depth=0)
         # Zero depth: only succeeds if already integral.
         if point is not None:
             assert p.fractional_integers(res.x).size == 0
+
+
+def feasibility_pump(problem, max_iterations=30):
+    """A small certification-free portfolio run: feasibility jump over
+    a handful of seeded restarts plus fix-and-propagate, no LNS."""
+    result = run_portfolio(
+        problem,
+        PortfolioOptions(
+            restarts=8, n_jobs=8, fj_sweeps=max_iterations, lns=False, certify=False
+        ),
+    )
+    return None if result.best is None else result.best.x
 
 
 class TestFeasibilityPump:
